@@ -5,7 +5,7 @@
 //! `r = Σᵢ x(i)`. The `start`/`end` iteration window is what TPA uses to
 //! split the sum into family / neighbor / stranger parts.
 
-use crate::frontier::{FrontierPolicy, FrontierScratch, SPARSE_CUMULATIVE_BUDGET};
+use crate::frontier::{self, FrontierPolicy, FrontierScratch};
 use crate::{Propagator, SeedSet};
 use tpa_graph::NodeId;
 
@@ -136,19 +136,26 @@ pub fn cpi_trace<P: Propagator + ?Sized>(
 ///
 /// * `Dense` — every iteration runs `propagate_into_norm` (the
 ///   pre-frontier behavior, with the residual folded inside the kernel).
-/// * `Sparse` — every iteration runs `propagate_frontier`, however large
-///   the frontier grows.
-/// * `Auto` — sparse while (a) the backend has a sparse path, (b) the
-///   seed support is known (not [`SeedSet::Uniform`]), (c) the
-///   frontier's out-edge count stays under `m / DENSE_SWITCH_DIVISOR`,
-///   and (d) cumulative sparse edge work stays under
-///   `SPARSE_CUMULATIVE_BUDGET · m`; then latches dense for the rest of
-///   the run (propagation frontiers only grow).
+/// * `Sparse` — every iteration runs `propagate_frontier`, a forward
+///   push along the frontier's out-edges, however large the frontier
+///   grows.
+/// * `Auto` — sparse while the seed support is known (not
+///   [`SeedSet::Uniform`]) and the shared `frontier::auto_keeps_sparse`
+///   rule holds: the backend has a sparse path, the frontier's out-edge
+///   count stays under `m / DENSE_SWITCH_DIVISOR` (2, the measured
+///   optimum for push), and cumulative sparse edge work stays under
+///   `SPARSE_CUMULATIVE_BUDGET · m`. It then latches dense for the rest
+///   of the run (propagation frontiers only grow). A push step costs
+///   exactly the out-edges the probe counted, so native backends never
+///   fall back mid-step.
 ///
-/// While sparse, the per-iteration `O(n)` costs disappear too: the
-/// residual comes out of the kernel's reachable-set fold, and the window
-/// accumulation adds only the frontier's entries (both bitwise equal to
-/// their dense counterparts — the skipped terms are exact zeros).
+/// Push adds each source's term in ascending source order, the order of
+/// every CSC in-row, so the choice never changes a bit of the result
+/// (see [`crate::frontier`]). While sparse, the per-iteration `O(n)`
+/// costs disappear too: the residual comes out of the kernel's fold
+/// over the touched set, and the window accumulation adds only the
+/// frontier's entries (both bitwise equal to their dense counterparts —
+/// the skipped terms are exact zeros).
 pub fn cpi_trace_policy<P: Propagator + ?Sized>(
     transition: &P,
     seeds: &SeedSet,
@@ -286,15 +293,7 @@ pub(crate) fn cpi_sweep_policy<P: Propagator + ?Sized>(
         i += 1;
         if sparse && policy == FrontierPolicy::Auto {
             // Per-iteration direction decision (one-way: sparse → dense).
-            let keep = match transition.frontier_work(&active) {
-                Some(w) => {
-                    w.prefers_sparse()
-                        && (cumulative_work as f64)
-                            < SPARSE_CUMULATIVE_BUDGET * w.total_edges as f64
-                }
-                None => false,
-            };
-            if !keep {
+            if !frontier::auto_keeps_sparse(transition.frontier_work(&active), cumulative_work) {
                 sparse = false;
                 tally.auto_dense_switches = 1;
             }
@@ -331,7 +330,7 @@ pub(crate) fn cpi_sweep_policy<P: Propagator + ?Sized>(
                     add_assign(&mut scores, &x);
                 }
                 // `active` is the exact support of x(i) even after a
-                // gather bail: the fallback scan rebuilt it densely.
+                // dense fallback: its scan rebuilt it densely.
                 stopped = stop(SweepProbe {
                     i,
                     scores: &scores,

@@ -33,11 +33,8 @@
 //!    `tolerance` leaves a tail of at most `tolerance·(1−c)/c` more.
 
 use crate::batch::cpi_batch;
-use crate::frontier::{
-    self, FrontierPolicy, FrontierScratch, FrontierStep, FrontierWork, SPARSE_CUMULATIVE_BUDGET,
-};
+use crate::frontier::{self, FrontierPolicy, FrontierScratch, FrontierStep, FrontierWork};
 use crate::tiling::{self, InAdjacency, TilePolicy};
-use crate::transition::dense_frontier_fallback;
 use crate::{CpiConfig, Propagator};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -476,11 +473,9 @@ impl Propagator for DynamicTransition {
         })
     }
 
-    /// Sparse-frontier step over the overlay: discovery walks the merged
-    /// out-view, the masked gather reads the same merged in-rows as the
-    /// dense overlay kernels (dirty destinations hit their materialized
-    /// row, everyone else the base CSC slice), split over the worker
-    /// ranges when present — bit-identical to a rebuilt CSR.
+    /// Sparse-frontier step over the overlay: the push walks the merged
+    /// out-view, which mirrors the merged in-rows the dense overlay
+    /// kernels gather — bit-identical to a rebuilt CSR.
     fn propagate_frontier(
         &self,
         coeff: f64,
@@ -492,22 +487,7 @@ impl Propagator for DynamicTransition {
         let n = self.n();
         assert_eq!(x.len(), n, "input vector length mismatch");
         assert_eq!(y.len(), n, "output vector length mismatch");
-        let rows = self.rows();
-        match frontier::sparse_step_ranged(
-            &self.graph,
-            &rows,
-            &self.inv_out_deg,
-            coeff,
-            x,
-            y,
-            active,
-            self.graph.m(),
-            &self.ranges,
-            scratch,
-        ) {
-            Some(step) => step,
-            None => dense_frontier_fallback(self, coeff, x, y, scratch),
-        }
+        frontier::sparse_step(&self.graph, &self.inv_out_deg, coeff, x, y, active, scratch)
     }
 
     /// Fused block kernel over the overlay: one adjacency pass per
@@ -595,11 +575,11 @@ pub fn propagate_offset<P: Propagator + ?Sized>(
 /// sparse-frontier kernel was built for, so `Auto` routes the first
 /// Neumann iterations through [`Propagator::propagate_frontier`] and
 /// latches onto the dense kernels once the correction's support
-/// saturates (the same one-way switch [`crate::cpi`] uses). Every
-/// policy produces bitwise-identical scores and makes the same stopping
-/// decisions: sparse steps skip only exact-zero terms, and every
-/// residual — fused dense, per-worker partials, or reachable-set fold —
-/// uses the blocked-canonical association.
+/// saturates (the same one-way `auto_keeps_sparse` rule [`crate::cpi`]
+/// uses). Every policy produces bitwise-identical scores and makes the
+/// same stopping decisions: sparse steps skip only exact-zero terms, and
+/// every residual — fused dense, per-worker partials, or touched-set
+/// fold — uses the blocked-canonical association.
 pub fn propagate_offset_policy<P: Propagator + ?Sized>(
     t: &P,
     mut offset: Vec<f64>,
@@ -679,15 +659,7 @@ pub fn propagate_offset_policy<P: Propagator + ?Sized>(
         stats.iterations += 1;
         if sparse && policy == FrontierPolicy::Auto {
             // Per-iteration direction decision (one-way: sparse → dense).
-            let keep = match t.frontier_work(&active) {
-                Some(w) => {
-                    w.prefers_sparse()
-                        && (cumulative_work as f64)
-                            < SPARSE_CUMULATIVE_BUDGET * w.total_edges as f64
-                }
-                None => false,
-            };
-            if !keep {
+            if !frontier::auto_keeps_sparse(t.frontier_work(&active), cumulative_work) {
                 sparse = false;
                 tally.auto_dense_switches = 1;
             }

@@ -6,38 +6,44 @@
 //! destination row each iteration, so on a billion-scale power-law graph
 //! the first few iterations waste almost all of their memory traffic on
 //! rows that gather exactly `0.0`. This module tracks the **active
-//! frontier** — the support of `x(i)` — and propagates only where mass
-//! can actually arrive:
+//! frontier** — the support of `x(i)` — and pushes mass only along the
+//! frontier's own out-edges:
 //!
-//! 1. **Discover** the reachable destination set `R = ∪_{u∈F} out(u)`
-//!    from the CSR out-rows of the frontier `F` (a marked-visited list,
-//!    cleared in `O(|R|)`).
-//! 2. **Gather** each reachable destination's *full* CSC in-row,
-//!    skipping sources outside the frontier. Skipped terms are exactly
-//!    `0.0` adds (`x[u] == 0.0` ⇒ `x[u]·w = +0.0`, and `acc + 0.0`
-//!    leaves a non-negative accumulator bit-for-bit unchanged), so the
-//!    per-destination floating-point chain is **identical** to the
-//!    dense and strip-mined kernels — the same guarantee discipline the
-//!    tiling layer follows, which is what lets [`FrontierPolicy`] be
-//!    bitwise invisible on every backend.
+//! 1. **Scatter** (forward push): for each source `u` of the ascending
+//!    frontier, add `x[u]·inv[u]` into `y[v]` for every out-neighbor
+//!    `v`, recording each newly touched `v` (a marked list, cleared in
+//!    `O(touched)`). The step costs exactly the frontier's out-edges,
+//!    which is what [`FrontierWork::frontier_edges`] predicts, however
+//!    long the touched nodes' in-rows are.
+//! 2. **Scale** the sorted touched entries by `coeff`.
 //! 3. **Fold** the convergence residual `‖x(i+1)‖₁` and the next
-//!    frontier over `R` in ascending order during the same pass, so the
-//!    sparse path never touches the other `n − |R|` entries at all.
+//!    frontier over the touched set, so the sparse path never touches
+//!    the other `n − |touched|` entries at all.
 //!
-//! Direction switching (after Beamer's push/pull BFS): sparse propagation
-//! wins while the frontier is small and loses once it saturates — power-
-//! law graphs reach most of the graph within a few hops. The
-//! [`FrontierPolicy::Auto`] heuristic therefore runs sparse while the
-//! frontier's out-edge count stays under `m / `[`DENSE_SWITCH_DIVISOR`]
-//! and the cumulative sparse edge work stays under
+//! **Why push is bitwise identical to the dense kernels.** A dense
+//! kernel computes `y[v] = coeff · (((0 + t₁) + t₂) + …)` over `v`'s
+//! CSC in-row, which is ascending by source, with `tₖ = x[u]·inv[u]`.
+//! The scatter visits sources in ascending order, so every destination
+//! receives the same terms in the same order; a parallel edge repeats
+//! its term back to back in both. The only terms push omits come from
+//! sources outside the frontier, where `x[u] == 0.0`: each is an exact
+//! `+ 0.0`, the identity on an accumulator that started at `+0.0`.
+//! `coeff` is still applied last. Scores, residuals and iteration counts
+//! therefore match bit for bit on every backend, which is what lets
+//! [`FrontierPolicy`] be invisible.
+//!
+//! **Direction switching** (after Beamer's push/pull BFS): push wins
+//! while the frontier is small and loses once it saturates — power-law
+//! graphs reach most of the graph within a few hops, and a scattered add
+//! costs more per edge than the dense kernel's streaming gather.
+//! [`FrontierPolicy::Auto`] therefore pushes while the frontier's
+//! out-edge count stays under `m / `[`DENSE_SWITCH_DIVISOR`] and the
+//! cumulative sparse edge work stays under
 //! [`SPARSE_CUMULATIVE_BUDGET`]` · m`, and latches to the dense kernels
-//! for the remainder of the run (frontiers only grow under propagation,
-//! so the switch is one-way). A second guard lives inside the kernel:
-//! reachable hubs drag their whole in-row into the gather, so if the
-//! discovered gather cost exceeds `m / `[`GATHER_BAIL_DIVISOR`] the step
-//! bails to the dense kernel before paying it.
+//! for the rest of the run (frontiers only grow under propagation, so
+//! the switch is one-way). `auto_keeps_sparse` is that rule, shared by
+//! every sweep that can run sparse.
 
-use crate::tiling::InAdjacency;
 use tpa_graph::{CsrGraph, DynamicGraph, NodeId};
 
 /// How CPI schedules its per-iteration propagation.
@@ -75,10 +81,16 @@ impl FrontierPolicy {
     }
 }
 
-/// `Auto` switches to dense when the frontier's out-edges exceed
-/// `m / DENSE_SWITCH_DIVISOR`: past that point the sparse step's
-/// discovery + gather + bookkeeping costs rival a full dense sweep.
-pub const DENSE_SWITCH_DIVISOR: usize = 8;
+/// `Auto` switches to dense when the frontier's out-edges reach
+/// `m / DENSE_SWITCH_DIVISOR`. A push step costs one scattered add per
+/// frontier out-edge plus a sort of the touched set; a dense step
+/// streams all `m` in-edges at roughly half the per-edge cost. Measured
+/// on the `online_topk` benchmark workload (LFR-lite, n = 400k, m = 6M,
+/// 2 vCPUs, two traced runs per divisor), the family sweep took
+/// 47.0–49.7, 30.8–32.9, 30.6–31.1 and 31.5–32.7 ms per query at
+/// divisors 8, 4, 2 and 1, against 91.0–95.2 ms for the earlier pull
+/// gather.
+pub const DENSE_SWITCH_DIVISOR: usize = 2;
 
 /// `Auto` also latches dense once *cumulative* sparse edge work crosses
 /// this fraction of `m`: a full sweep's worth of sparse work means the
@@ -86,33 +98,39 @@ pub const DENSE_SWITCH_DIVISOR: usize = 8;
 /// pure loss from here on.
 pub const SPARSE_CUMULATIVE_BUDGET: f64 = 1.0;
 
-/// A sparse step bails to the dense kernel when the reachable set's
-/// in-edge count exceeds `m / GATHER_BAIL_DIVISOR` — reachable hubs drag
-/// their entire in-row into the masked gather, which the cheap out-edge
-/// predictor cannot see. The masked gather costs roughly twice the dense
-/// kernel per edge (per-term branch, no streaming writes), so capping it
-/// at an eighth of a sweep bounds a hub seed's one wasted sparse attempt
-/// at a few percent before `Auto` latches dense (measured: divisor 2
-/// left hub seeds ~10% over forced dense).
-pub const GATHER_BAIL_DIVISOR: usize = 8;
-
 /// Frontier cost probe: what a sparse step would have to touch.
 /// Returned by [`crate::Propagator::frontier_work`]; `None` from a
 /// backend means it has no sparse path and `Auto` should stay dense.
 #[derive(Clone, Copy, Debug)]
 pub struct FrontierWork {
-    /// Σ out-degree over the active frontier (edges a discovery pass
-    /// scans; an upper bound on the reachable-set size).
+    /// Σ out-degree over the active frontier: exactly the edges a push
+    /// step scans.
     pub frontier_edges: usize,
     /// Total edge count `m` (the dense sweep's work).
     pub total_edges: usize,
 }
 
 impl FrontierWork {
-    /// True when [`FrontierPolicy::Auto`] should keep this step sparse.
+    /// True when the frontier is small enough for [`FrontierPolicy::Auto`]
+    /// to push it (under `m / DENSE_SWITCH_DIVISOR` out-edges).
     pub fn prefers_sparse(&self) -> bool {
         self.frontier_edges < self.total_edges / DENSE_SWITCH_DIVISOR
     }
+}
+
+/// The [`FrontierPolicy::Auto`] rule for the next iteration of a sweep
+/// that is still sparse: push again only if the backend has a sparse
+/// path (`work` is its [`crate::Propagator::frontier_work`] probe), the
+/// frontier [prefers sparse](FrontierWork::prefers_sparse), and the
+/// sweep's `cumulative_work` so far stays under
+/// `SPARSE_CUMULATIVE_BUDGET · m`. The CPI sweep and the offset
+/// propagation behind index patches and score-cache refreshes both
+/// decide through it.
+pub(crate) fn auto_keeps_sparse(work: Option<FrontierWork>, cumulative_work: usize) -> bool {
+    work.is_some_and(|w| {
+        w.prefers_sparse()
+            && (cumulative_work as f64) < SPARSE_CUMULATIVE_BUDGET * w.total_edges as f64
+    })
 }
 
 /// What one [`crate::Propagator::propagate_frontier`] call did.
@@ -122,20 +140,20 @@ pub struct FrontierStep {
     /// dense `propagate_into_norm` of the same step (skipped entries are
     /// exact zeros).
     pub residual: f64,
-    /// Edges actually scanned (discovery + gather); 0 when the step ran
-    /// the dense kernel.
+    /// Edges the push scanned (Σ out-degree over the frontier); 0 when
+    /// the step ran the dense kernel.
     pub edge_work: usize,
-    /// True if the step fell back to the dense kernel (no sparse path,
-    /// or the gather-cost guard fired). `Auto` latches dense on it.
+    /// True if the step ran the dense kernel instead: only backends
+    /// without a native sparse path do. `Auto` latches dense on it.
     pub went_dense: bool,
 }
 
-/// Reusable workspace for sparse-frontier steps: the visited bitmap and
-/// reachable list for discovery, plus the next-frontier output. One
-/// allocation per CPI run, `O(n)` bytes.
+/// Reusable workspace for sparse-frontier steps: the touched bitmap and
+/// list for the scatter, plus the next-frontier output. One allocation
+/// per CPI run, `O(n)` bytes.
 pub struct FrontierScratch {
     mark: Vec<bool>,
-    reachable: Vec<NodeId>,
+    touched: Vec<NodeId>,
     next_active: Vec<NodeId>,
 }
 
@@ -148,7 +166,7 @@ impl std::fmt::Debug for FrontierScratch {
 impl FrontierScratch {
     /// Workspace for an `n`-node graph.
     pub fn new(n: usize) -> Self {
-        Self { mark: vec![false; n], reachable: Vec::new(), next_active: Vec::new() }
+        Self { mark: vec![false; n], touched: Vec::new(), next_active: Vec::new() }
     }
 
     /// The frontier the last step produced: ascending nodes with
@@ -209,12 +227,13 @@ impl SupportUnion {
     }
 }
 
-/// Out-adjacency access for frontier discovery, mirroring
-/// [`InAdjacency`] on the gather side: implemented by [`CsrGraph`]
-/// (plain CSR rows) and [`DynamicGraph`] (merged overlay view) so all
-/// backends share one discovery pass.
+/// Out-adjacency access for the push scatter: implemented by
+/// [`CsrGraph`] (plain CSR rows), [`DynamicGraph`] (merged overlay view)
+/// and the patched snapshot's row view, so all backends share one
+/// sparse step. It must mirror the in-rows the dense kernels gather:
+/// `v` appears in `u`'s out-row exactly as often as `u` in `v`'s in-row.
 pub(crate) trait OutAdjacency {
-    /// Out-degree of `u` (the discovery-cost predictor).
+    /// Out-degree of `u` (the push-cost predictor).
     fn out_deg(&self, u: NodeId) -> usize;
     /// Visits every out-neighbor of `u`.
     fn for_each_out<F: FnMut(NodeId)>(&self, u: NodeId, f: F);
@@ -252,187 +271,71 @@ pub(crate) fn frontier_out_edges<O: OutAdjacency + ?Sized>(out: &O, active: &[No
     active.iter().map(|&u| out.out_deg(u)).sum()
 }
 
-/// Discovery: fills `scratch.reachable` with the ascending reachable set
-/// `∪_{u∈active} out(u)` and returns the edges scanned. Marks stay set
-/// for the caller (cleared by [`clear_marks`]).
-fn discover<O: OutAdjacency + ?Sized>(
-    out: &O,
-    active: &[NodeId],
-    scratch: &mut FrontierScratch,
-) -> usize {
-    scratch.reachable.clear();
-    let mark = &mut scratch.mark;
-    let reachable = &mut scratch.reachable;
-    let mut scanned = 0usize;
-    for &u in active {
-        out.for_each_out(u, |v| {
-            scanned += 1;
-            let m = &mut mark[v as usize];
-            if !*m {
-                *m = true;
-                reachable.push(v);
-            }
-        });
-    }
-    reachable.sort_unstable();
-    scanned
-}
-
-fn clear_marks(scratch: &mut FrontierScratch) {
-    for &v in &scratch.reachable {
-        scratch.mark[v as usize] = false;
-    }
-}
-
-/// One destination's masked gather: the full in-row in ascending order,
-/// folded left exactly like the dense kernels, with zero-valued sources
-/// skipped (each skip elides an exact `+ 0.0`).
-#[inline]
-fn masked_row_gather(row: &[NodeId], x: &[f64], inv: &[f64]) -> f64 {
-    let mut acc = 0.0f64;
-    for &u in row {
-        let xu = x[u as usize];
-        if xu != 0.0 {
-            acc += xu * inv[u as usize];
-        }
-    }
-    acc
-}
-
-/// Writes `y[v] = coeff · gather(v)` for every `v` in
-/// `reachable[lo..hi]`, into the range-local slice `y_local`
-/// (`y_local[0]` is node `range_start`). Shared by the sequential and
-/// per-worker parallel sparse paths.
-pub(crate) fn gather_reachable_into<A: InAdjacency + ?Sized>(
-    adj: &A,
-    inv: &[f64],
-    coeff: f64,
-    x: &[f64],
-    y_local: &mut [f64],
-    reachable: &[NodeId],
-    range_start: NodeId,
-) {
-    for &v in reachable {
-        let acc = masked_row_gather(adj.in_row(v), x, inv);
-        y_local[(v - range_start) as usize] = coeff * acc;
-    }
-}
-
-/// Post-gather fold over the ascending reachable set: accumulates
-/// `‖y‖₁` and collects the next frontier (`y != 0.0`). Entries are
-/// grouped by their `NORM_BLOCK`, matching the blocked-canonical
-/// association of the dense kernels' fused residual (see
-/// [`crate::tiling`]): blocks without reachable entries contribute an
-/// exact `+0.0` partial (elided), and within a block the skipped terms
-/// are exact zeros — so the residual is bitwise equal to a dense
-/// `propagate_into_norm` of the same step.
-pub(crate) fn fold_reachable(
-    y: &[f64],
-    reachable: &[NodeId],
-    next_active: &mut Vec<NodeId>,
-) -> f64 {
+/// Post-scale fold over the ascending touched set: accumulates `‖y‖₁`
+/// and collects the next frontier (`y != 0.0`). Entries are grouped by
+/// their `NORM_BLOCK`, matching the blocked-canonical association of the
+/// dense kernels' fused residual (see [`crate::tiling`]): blocks without
+/// touched entries contribute an exact `+0.0` partial (elided), and
+/// within a block the skipped terms are exact zeros — so the residual is
+/// bitwise equal to a dense `propagate_into_norm` of the same step.
+fn fold_touched(y: &[f64], touched: &[NodeId], next_active: &mut Vec<NodeId>) -> f64 {
+    use crate::tiling::NORM_BLOCK;
     next_active.clear();
     let mut residual = 0.0f64;
-    let mut i = 0usize;
-    while i < reachable.len() {
-        let block = reachable[i] as usize / crate::tiling::NORM_BLOCK;
+    for block in touched.chunk_by(|&a, &b| a as usize / NORM_BLOCK == b as usize / NORM_BLOCK) {
         let mut part = 0.0f64;
-        while i < reachable.len() && reachable[i] as usize / crate::tiling::NORM_BLOCK == block {
-            let v = reachable[i];
+        for &v in block {
             let yv = y[v as usize];
             if yv != 0.0 {
                 part += yv.abs();
                 next_active.push(v);
             }
-            i += 1;
         }
         residual += part;
     }
     residual
 }
 
-/// The sequential sparse-frontier step shared by [`crate::Transition`]
-/// and the single-range dynamic backend. Returns `None` — leaving `y`
-/// untouched — when the reachable set's gather cost busts
-/// [`GATHER_BAIL_DIVISOR`]; the caller then runs its dense kernel.
+/// The sparse-frontier step every native backend runs: a forward push
+/// over `out` (see the module docs for why it is bitwise identical to
+/// the dense kernels). Its edge work is exactly
+/// [`frontier_out_edges`]`(out, active)`.
 ///
 /// Contract (same for every implementor of
 /// [`crate::Propagator::propagate_frontier`]): `active` is ascending and
-/// covers the support of `x`, every entry of `y` is `0.0` on entry, and
+/// covers the support of `x`, every entry of `y` is `+0.0` on entry, and
 /// `inv` is non-negative.
-// A kernel entry point mirrors the full propagation state; bundling the
-// slices into a struct would only rename the argument list.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sparse_step<O, A>(
+pub(crate) fn sparse_step<O: OutAdjacency + ?Sized>(
     out: &O,
-    adj: &A,
     inv: &[f64],
     coeff: f64,
     x: &[f64],
     y: &mut [f64],
     active: &[NodeId],
-    total_edges: usize,
     scratch: &mut FrontierScratch,
-) -> Option<FrontierStep>
-where
-    O: OutAdjacency + ?Sized,
-    A: InAdjacency + ?Sized,
-{
-    let scanned = discover(out, active, scratch);
-    let gather_cost: usize = scratch.reachable.iter().map(|&v| adj.in_row(v).len()).sum();
-    clear_marks(scratch);
-    if gather_cost > total_edges / GATHER_BAIL_DIVISOR {
-        return None;
-    }
-    gather_reachable_into(adj, inv, coeff, x, y, &scratch.reachable, 0);
-    let residual = fold_reachable(y, &scratch.reachable, &mut scratch.next_active);
-    Some(FrontierStep { residual, edge_work: scanned + gather_cost, went_dense: false })
-}
-
-/// The parallel variant: reachable destinations are split by the
-/// backend's destination ranges (each worker gathers the reachable
-/// nodes inside its band — disjoint writes, shared reads), then one
-/// ascending fold on the calling thread produces the residual and next
-/// frontier, so the result — residual included — is bit-identical to
-/// the sequential step.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sparse_step_ranged<O, A>(
-    out: &O,
-    adj: &A,
-    inv: &[f64],
-    coeff: f64,
-    x: &[f64],
-    y: &mut [f64],
-    active: &[NodeId],
-    total_edges: usize,
-    ranges: &[(u32, u32)],
-    scratch: &mut FrontierScratch,
-) -> Option<FrontierStep>
-where
-    O: OutAdjacency + ?Sized,
-    A: InAdjacency + Sync + ?Sized,
-{
-    let scanned = discover(out, active, scratch);
-    let gather_cost: usize = scratch.reachable.iter().map(|&v| adj.in_row(v).len()).sum();
-    clear_marks(scratch);
-    if gather_cost > total_edges / GATHER_BAIL_DIVISOR {
-        return None;
-    }
-    let reachable = &scratch.reachable;
-    // Below this many reachable rows the spawn cost outweighs the split;
-    // the single-threaded path is bit-identical either way.
-    const PAR_MIN_REACHABLE: usize = 2048;
-    if ranges.len() == 1 || reachable.len() < PAR_MIN_REACHABLE {
-        gather_reachable_into(adj, inv, coeff, x, y, reachable, 0);
-    } else {
-        crate::tiling::par_ranges(ranges, 1, y, |slice, start, end| {
-            let lo = reachable.partition_point(|&v| v < start);
-            let hi = reachable.partition_point(|&v| v < end);
-            gather_reachable_into(adj, inv, coeff, x, slice, &reachable[lo..hi], start);
+) -> FrontierStep {
+    let FrontierScratch { mark, touched, next_active } = scratch;
+    touched.clear();
+    let mut edge_work = 0usize;
+    for &u in active {
+        let term = x[u as usize] * inv[u as usize];
+        out.for_each_out(u, |v| {
+            edge_work += 1;
+            let m = &mut mark[v as usize];
+            if !*m {
+                *m = true;
+                touched.push(v);
+            }
+            y[v as usize] += term;
         });
     }
-    let residual = fold_reachable(y, reachable, &mut scratch.next_active);
-    Some(FrontierStep { residual, edge_work: scanned + gather_cost, went_dense: false })
+    touched.sort_unstable();
+    for &v in touched.iter() {
+        mark[v as usize] = false;
+        y[v as usize] *= coeff;
+    }
+    let residual = fold_touched(y, touched, next_active);
+    FrontierStep { residual, edge_work, went_dense: false }
 }
 
 #[cfg(test)]
@@ -447,11 +350,9 @@ mod tests {
         lfr_lite(LfrConfig { n: 300, m: 2700, ..Default::default() }, &mut rng).graph
     }
 
-    /// A graph whose small frontiers stay far under the gather-bail
-    /// budget: three 10-way fans plus a long filler chain that inflates
-    /// `m` without being reachable from the fan roots.
-    fn fan_graph() -> CsrGraph {
-        let n = 1200usize;
+    /// Three 10-way fans plus a long filler chain that inflates `m`
+    /// without being reachable from the fan roots.
+    fn fan_edges() -> Vec<(u32, u32)> {
         let mut edges: Vec<(u32, u32)> = Vec::new();
         for (root, base) in [(0u32, 10u32), (1, 100), (2, 200)] {
             for k in 0..10 {
@@ -459,7 +360,39 @@ mod tests {
             }
         }
         edges.extend((400..1199u32).map(|v| (v, v + 1)));
-        CsrGraph::from_edges(n, &edges)
+        edges
+    }
+
+    fn fan_graph() -> CsrGraph {
+        CsrGraph::from_edges(1200, &fan_edges())
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs one push step and asserts it equals the dense flat kernel
+    /// bit for bit: output, residual, next frontier and edge work.
+    fn assert_step_matches_dense(
+        g: &CsrGraph,
+        x: &[f64],
+        active: &[NodeId],
+        scratch: &mut FrontierScratch,
+    ) -> Vec<f64> {
+        let inv = g.inv_out_degrees();
+        let n = g.n();
+        let mut dense = vec![0.0f64; n];
+        let dense_res = gather_flat(g, &inv, 0.85, x, &mut dense, 0..n as NodeId);
+        let mut sparse = vec![0.0f64; n];
+        let step = sparse_step(g, &inv, 0.85, x, &mut sparse, active, scratch);
+        assert_eq!(bits(&sparse), bits(&dense));
+        assert_eq!(step.residual.to_bits(), dense_res.to_bits());
+        assert!(!step.went_dense);
+        assert_eq!(step.edge_work, frontier_out_edges(g, active));
+        // The reported frontier is exactly the support of the output.
+        let support: Vec<NodeId> = (0..n as NodeId).filter(|&v| dense[v as usize] != 0.0).collect();
+        assert_eq!(scratch.next_active(), &support[..]);
+        sparse
     }
 
     #[test]
@@ -474,47 +407,43 @@ mod tests {
     #[test]
     fn sparse_step_matches_dense_bitwise() {
         let g = fan_graph();
-        let inv = g.inv_out_degrees();
-        let n = g.n();
         // A sparse input supported on the three fan roots.
         let active: Vec<NodeId> = vec![0, 1, 2];
-        let mut x = vec![0.0f64; n];
+        let mut x = vec![0.0f64; g.n()];
         for (k, &u) in active.iter().enumerate() {
             x[u as usize] = 0.05 * (k + 1) as f64;
         }
-        let mut dense = vec![0.0f64; n];
-        let dense_res = gather_flat(&g, &inv, 0.85, &x, &mut dense, 0..n as NodeId);
-        let mut sparse = vec![0.0f64; n];
-        let mut scratch = FrontierScratch::new(n);
-        let step =
-            sparse_step(&g, &g, &inv, 0.85, &x, &mut sparse, &active, g.m(), &mut scratch).unwrap();
-        assert_eq!(sparse, dense);
-        assert_eq!(step.residual.to_bits(), dense_res.to_bits());
-        assert!(step.edge_work > 0 && !step.went_dense);
-        // The reported frontier is exactly the support of the output.
-        let support: Vec<NodeId> = (0..n as NodeId).filter(|&v| dense[v as usize] != 0.0).collect();
-        assert_eq!(scratch.next_active(), &support[..]);
+        let mut scratch = FrontierScratch::new(g.n());
+        assert_step_matches_dense(&g, &x, &active, &mut scratch);
     }
 
     #[test]
-    fn gather_bail_guard_fires_on_saturated_frontiers() {
-        let g = fan_graph();
-        let inv = g.inv_out_degrees();
-        let n = g.n();
-        let active: Vec<NodeId> = (0..n as NodeId).collect();
-        let x = vec![1.0 / n as f64; n];
-        let mut y = vec![0.0f64; n];
-        let mut scratch = FrontierScratch::new(n);
-        // With the whole graph active the reachable in-edge count is m,
-        // which busts m / GATHER_BAIL_DIVISOR.
-        assert!(sparse_step(&g, &g, &inv, 0.85, &x, &mut y, &active, g.m(), &mut scratch).is_none());
-        assert!(y.iter().all(|&v| v == 0.0), "bail must leave y untouched");
-        // Marks were cleared by the bail: a subsequent small-frontier
-        // step through the same scratch still works (a fan root's
-        // 10-edge neighborhood is well under the budget).
-        let mut x2 = vec![0.0f64; n];
-        x2[0] = 1.0;
-        assert!(sparse_step(&g, &g, &inv, 0.85, &x2, &mut y, &[0], g.m(), &mut scratch).is_some());
+    fn push_step_stays_sparse_through_a_hub() {
+        // Node 3 collects an in-edge from fan root 0 and from every
+        // chain node, so its in-row alone exceeds m/8. Reaching it must
+        // cost only the frontier's out-edges, not that in-row.
+        let mut edges = fan_edges();
+        edges.push((0, 3));
+        edges.extend((400..1199u32).map(|v| (v, 3)));
+        let g = CsrGraph::from_edges(1200, &edges);
+        assert!(g.in_degree(3) > g.m() / 8);
+        // Four frontier sources feed the hub, with values whose sum
+        // rounds differently in descending order: only the dense
+        // kernel's ascending-source order matches it bit for bit.
+        let active: Vec<NodeId> = vec![0, 1, 500, 600, 700];
+        let mut x = vec![0.0f64; g.n()];
+        for (&u, xu) in active.iter().zip([0.013, 0.5, 0.29, 0.61, 0.97]) {
+            x[u as usize] = xu;
+        }
+        let mut scratch = FrontierScratch::new(g.n());
+        let y = assert_step_matches_dense(&g, &x, &active, &mut scratch);
+        assert!(y[3] != 0.0, "the hub must be reached");
+        // A second step through the same scratch re-touches the hub (its
+        // self-loop and chain node 501 both point at it), which only
+        // comes out right if the first step cleared its marks.
+        let next = scratch.next_active().to_vec();
+        assert!(next.contains(&3) && next.contains(&501));
+        assert_step_matches_dense(&g, &y, &next, &mut scratch);
     }
 
     #[test]
@@ -525,16 +454,26 @@ mod tests {
         let x = vec![0.0f64; n];
         let mut y = vec![0.0f64; n];
         let mut scratch = FrontierScratch::new(n);
-        let step = sparse_step(&g, &g, &inv, 0.85, &x, &mut y, &[], g.m(), &mut scratch).unwrap();
+        let step = sparse_step(&g, &inv, 0.85, &x, &mut y, &[], &mut scratch);
         assert_eq!(step.residual, 0.0);
+        assert_eq!(step.edge_work, 0);
         assert!(scratch.next_active().is_empty());
     }
 
     #[test]
     fn switch_heuristic_prefers_sparse_only_for_small_frontiers() {
-        let small = FrontierWork { frontier_edges: 10, total_edges: 1000 };
-        assert!(small.prefers_sparse());
-        let big = FrontierWork { frontier_edges: 400, total_edges: 1000 };
-        assert!(!big.prefers_sparse());
+        let m = 1000;
+        let cut = m / DENSE_SWITCH_DIVISOR;
+        let work = |frontier_edges| FrontierWork { frontier_edges, total_edges: m };
+        assert!(work(10).prefers_sparse());
+        assert!(work(cut - 1).prefers_sparse());
+        assert!(!work(cut).prefers_sparse());
+        assert!(!work(m).prefers_sparse());
+        // The shared Auto rule adds the cumulative budget and needs a
+        // sparse path at all.
+        assert!(auto_keeps_sparse(Some(work(10)), 0));
+        assert!(!auto_keeps_sparse(Some(work(10)), m));
+        assert!(!auto_keeps_sparse(Some(work(cut)), 0));
+        assert!(!auto_keeps_sparse(None, 0));
     }
 }

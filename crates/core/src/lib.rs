@@ -42,7 +42,7 @@
 //!   kernel-level counters (CPI iterations, frontier decisions,
 //!   sparse/dense work) behind a near-zero-cost disabled path.
 //! * [`frontier`] — direction-optimizing sparse propagation:
-//!   [`FrontierPolicy`] schedules each CPI iteration onto a masked
+//!   [`FrontierPolicy`] schedules each CPI iteration onto a forward-push
 //!   sparse-frontier kernel or the dense kernels (Beamer-style
 //!   switching), bitwise identically, for single-seed query latency.
 //! * **Bounded exact top-k** — K-dash-style early termination riding

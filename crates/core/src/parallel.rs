@@ -12,7 +12,7 @@
 use crate::batch::ScoreBlock;
 use crate::frontier::{self, FrontierScratch, FrontierStep, FrontierWork};
 use crate::tiling::{self, TilePolicy};
-use crate::transition::{dense_frontier_fallback, GraphHandle};
+use crate::transition::GraphHandle;
 use crate::Propagator;
 use std::sync::Arc;
 use tpa_graph::{CsrGraph, NodeId};
@@ -153,11 +153,10 @@ impl Propagator for ParallelTransition<'_> {
         })
     }
 
-    /// Sparse-frontier step with the reachable set split over the same
-    /// destination ranges as the dense kernels: each worker gathers the
-    /// reachable nodes inside its band (disjoint writes), and the
-    /// residual/next-frontier fold runs ascending on the calling thread
-    /// — bit-identical to the sequential backend's step.
+    /// Sparse-frontier step: the same sequential push as
+    /// [`crate::Transition`], on the calling thread. `Auto` only pushes
+    /// frontiers under `m / DENSE_SWITCH_DIVISOR` out-edges; the dense
+    /// kernels keep the worker ranges.
     fn propagate_frontier(
         &self,
         coeff: f64,
@@ -170,21 +169,7 @@ impl Propagator for ParallelTransition<'_> {
         let n = g.n();
         assert_eq!(x.len(), n);
         assert_eq!(y.len(), n);
-        match frontier::sparse_step_ranged(
-            g,
-            g,
-            &self.inv_out_deg,
-            coeff,
-            x,
-            y,
-            active,
-            g.m(),
-            &self.ranges,
-            scratch,
-        ) {
-            Some(step) => step,
-            None => dense_frontier_fallback(self, coeff, x, y, scratch),
-        }
+        frontier::sparse_step(g, &self.inv_out_deg, coeff, x, y, active, scratch)
     }
 
     /// Fused parallel block kernel: each worker owns a contiguous band of
@@ -284,20 +269,15 @@ mod tests {
     }
 
     #[test]
-    fn large_reachable_sets_split_across_workers_bitwise() {
-        // A 3000-way fan-out from one seed pushes the reachable set past
-        // the parallel sparse path's spawn threshold, exercising the
-        // range-partitioned gather (small property graphs never do).
+    fn large_fan_out_stays_sparse_and_matches_dense_bitwise() {
+        // A 3000-way fan-out from one seed: a touched set far larger
+        // than small property graphs produce, pushed by a multi-range
+        // backend.
         use crate::frontier::FrontierScratch;
         let n = 9001usize;
-        // Fan-out 0 → 1..=3000 (the reachable set, in-degree 1 each),
-        // plus dense unreachable filler among 3001..9000 so the
-        // reachable in-edge count (3000) stays under the m/8 gather
-        // guard.
-        // The builder's default SelfLoop dangling policy gives every fan
-        // target a second in-edge, so the reachable in-edge count is
-        // 2 × 3000; nine filler edges per chain node keep that under the
-        // m/8 gather budget.
+        // Fan-out 0 → 1..=3000 (the touched set) plus unreachable filler
+        // among 3001..9000. The push costs the seed's 3000 out-edges
+        // whatever the filler adds to m.
         let mut edges: Vec<(u32, u32)> = (1..=3000u32).map(|v| (0, v)).collect();
         for v in 3001..9000u32 {
             for k in 1..=9u32 {
@@ -319,6 +299,7 @@ mod tests {
             let mut scratch = FrontierScratch::new(n);
             let step = par.propagate_frontier(0.85, &x, &mut y, &[0], &mut scratch);
             assert!(!step.went_dense, "fan-out frontier must stay sparse");
+            assert_eq!(step.edge_work, 3000);
             assert_eq!(y, dense, "threads = {threads}");
             assert_eq!(scratch.next_active().len(), 3000);
         }

@@ -30,7 +30,6 @@
 use crate::dynamic::OverlayRows;
 use crate::frontier::{self, FrontierScratch, FrontierStep, FrontierWork};
 use crate::tiling::{self, TilePolicy};
-use crate::transition::dense_frontier_fallback;
 use crate::Propagator;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -65,7 +64,7 @@ impl std::fmt::Debug for PatchedTransition {
     }
 }
 
-/// Out-adjacency view for frontier discovery: changed sources read
+/// Out-adjacency view for the frontier push: changed sources read
 /// their materialized merged row, everyone else the base CSR slice —
 /// the out-side mirror of [`OverlayRows`].
 struct PatchedOut<'a> {
@@ -242,22 +241,7 @@ impl Propagator for PatchedTransition {
         let n = self.n();
         assert_eq!(x.len(), n, "input vector length mismatch");
         assert_eq!(y.len(), n, "output vector length mismatch");
-        let rows = self.rows();
-        match frontier::sparse_step_ranged(
-            &self.out_view(),
-            &rows,
-            &self.inv_out_deg,
-            coeff,
-            x,
-            y,
-            active,
-            self.m,
-            &self.ranges,
-            scratch,
-        ) {
-            Some(step) => step,
-            None => dense_frontier_fallback(self, coeff, x, y, scratch),
-        }
+        frontier::sparse_step(&self.out_view(), &self.inv_out_deg, coeff, x, y, active, scratch)
     }
 
     fn propagate_block_into(

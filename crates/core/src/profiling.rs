@@ -5,7 +5,7 @@
 //! answer *how long* a query took; the counters here answer *what the
 //! kernels did* while it ran — CPI iterations, the per-iteration
 //! [`crate::FrontierPolicy::Auto`] direction decisions, sparse vs dense
-//! edge work, sparse-kernel mid-gather bails, OSP offset propagations,
+//! edge work, sparse steps that fell back to dense, OSP offset propagations,
 //! and [`crate::TilePolicy::Auto`] strip-vs-flat resolutions.
 //!
 //! Counters are process-wide relaxed atomics, flushed **once per kernel
@@ -83,7 +83,8 @@ pub(crate) struct RunTally {
     /// 1 when the Auto policy latched dense mid-run (frontier outgrew
     /// its divisor or the cumulative sparse budget ran out).
     pub auto_dense_switches: u64,
-    /// Sparse kernels that bailed to dense mid-gather.
+    /// Sparse steps that ran the dense kernel instead (backends without
+    /// a native sparse path).
     pub gather_bails: u64,
     pub sparse_edge_work: u64,
     pub dense_edge_work: u64,
@@ -148,7 +149,9 @@ pub struct KernelProfile {
     /// onto dense (frontier outgrew `m / DENSE_SWITCH_DIVISOR` or the
     /// cumulative sparse budget ran out).
     pub auto_dense_switches: u64,
-    /// Sparse kernels that bailed to the dense path mid-gather.
+    /// Sparse steps that fell back to the dense kernel. Native backends
+    /// push every frontier they are handed and never fall back, so this
+    /// counts only steps on backends without a sparse path.
     pub gather_bails: u64,
     /// Edges traversed by sparse-frontier iterations.
     pub sparse_edge_work: u64,

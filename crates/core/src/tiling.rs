@@ -41,7 +41,7 @@ use tpa_graph::{CsrGraph, NodeId};
 
 /// Block size of the canonical residual fold. Every `‖y‖₁` the engine
 /// computes — fused into a dense kernel, scanned after a parallel
-/// propagation, or folded over a sparse frontier's reachable set — uses
+/// propagation, or folded over a sparse frontier's touched set — uses
 /// the same two-level association: the absolute values of each aligned
 /// `NORM_BLOCK`-sized block are folded left in index order into a
 /// per-block partial, and the partials are folded left in ascending

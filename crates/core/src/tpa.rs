@@ -440,6 +440,8 @@ impl TpaIndex {
         };
         let s = read_u64(&mut r)? as usize;
         let t = read_u64(&mut r)? as usize;
+        let params = TpaParams { c, eps, s, t };
+        params.check().map_err(|e| Error::new(ErrorKind::InvalidData, e))?;
         let iterations = read_u64(&mut r)? as usize;
         let mut f2 = [0u8; 8];
         r.read_exact(&mut f2)?;
@@ -450,7 +452,10 @@ impl TpaIndex {
         if n > (1usize << 40) {
             return Err(Error::new(ErrorKind::InvalidData, "implausible index length"));
         }
-        let mut stranger = Vec::with_capacity(n);
+        // Vectors grow as the payload arrives (capacity capped at one
+        // chunk), so a header claiming more entries than the file holds
+        // fails at the first short read instead of allocating up front.
+        let mut stranger = Vec::with_capacity(n.min(Self::IO_CHUNK));
         let mut buf = vec![0u8; Self::IO_CHUNK * 8];
         let mut remaining = n;
         while remaining > 0 {
@@ -474,7 +479,7 @@ impl TpaIndex {
             if plen == 0 {
                 None
             } else {
-                let mut table = Vec::with_capacity(plen);
+                let mut table = Vec::with_capacity(plen.min(Self::IO_CHUNK * 2));
                 let mut remaining = plen;
                 while remaining > 0 {
                     let take = remaining.min(Self::IO_CHUNK * 2);
@@ -491,8 +496,6 @@ impl TpaIndex {
         } else {
             None
         };
-        let params = TpaParams { c, eps, s, t };
-        params.validate();
         Ok(Self { params, stranger, stats: PreprocessStats { iterations, final_residual }, perm })
     }
 }
@@ -633,6 +636,35 @@ mod tests {
         index.save(&mut buf).unwrap();
         buf.truncate(buf.len() - 4);
         assert!(TpaIndex::load(std::io::Cursor::new(&buf)).is_err());
+    }
+
+    #[test]
+    fn load_rejects_length_without_payload() {
+        // A bare header claiming 2^40 entries must fail on the missing
+        // payload, not abort on an up-front 8 TiB allocation.
+        let mut buf = b"TPAINDX2".to_vec();
+        buf.extend_from_slice(&0.15f64.to_le_bytes());
+        buf.extend_from_slice(&1e-9f64.to_le_bytes());
+        for v in [5u64, 10, 0] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf.extend_from_slice(&0.0f64.to_le_bytes());
+        buf.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        let err = TpaIndex::load(std::io::Cursor::new(&buf)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn load_rejects_invalid_params() {
+        // c = 2.0 in an otherwise valid file is a returned error, not a
+        // panic in parameter validation.
+        let g = test_graph();
+        let index = TpaIndex::preprocess(&g, TpaParams::new(5, 10));
+        let mut buf = Vec::new();
+        index.save(&mut buf).unwrap();
+        buf[8..16].copy_from_slice(&2.0f64.to_le_bytes());
+        let err = TpaIndex::load(std::io::Cursor::new(&buf)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

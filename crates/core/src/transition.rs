@@ -70,11 +70,12 @@ pub trait Propagator {
     /// `y`, and the step's residual is `‖y‖₁`.
     ///
     /// Results must be **bit-identical** to [`Propagator::propagate_into`]:
-    /// native implementations gather each reachable destination's full
-    /// in-row and skip only sources whose `x` entry is exactly `0.0`
-    /// (an elided `+ 0.0`), so the floating-point chain matches the
-    /// dense kernels term for term. The default runs the dense kernel
-    /// and scans for the support — correct everywhere, sparse nowhere.
+    /// native implementations push the ascending frontier along its
+    /// out-edges, so every destination receives its in-row's terms in
+    /// the dense order with only exact `+ 0.0`s elided (see
+    /// [`crate::frontier`]). The default runs the dense kernel and scans
+    /// for the support — correct everywhere, sparse nowhere — and flags
+    /// `went_dense` so [`crate::FrontierPolicy::Auto`] latches.
     fn propagate_frontier(
         &self,
         coeff: f64,
@@ -84,7 +85,15 @@ pub trait Propagator {
         scratch: &mut FrontierScratch,
     ) -> FrontierStep {
         let _ = active;
-        dense_frontier_fallback(self, coeff, x, y, scratch)
+        let residual = self.propagate_into_norm(coeff, x, y);
+        let next = scratch.next_active_mut();
+        next.clear();
+        for (v, &yv) in y.iter().enumerate() {
+            if yv != 0.0 {
+                next.push(v as NodeId);
+            }
+        }
+        FrontierStep { residual, edge_work: 0, went_dense: true }
     }
 }
 
@@ -247,35 +256,8 @@ impl Propagator for Transition<'_> {
         let n = g.n();
         assert_eq!(x.len(), n, "input vector length mismatch");
         assert_eq!(y.len(), n, "output vector length mismatch");
-        match frontier::sparse_step(g, g, &self.inv_out_deg, coeff, x, y, active, g.m(), scratch) {
-            Some(step) => step,
-            // Gather-cost guard fired: one dense step (the frontier has
-            // effectively saturated; Auto latches dense on the flag).
-            None => dense_frontier_fallback(self, coeff, x, y, scratch),
-        }
+        frontier::sparse_step(g, &self.inv_out_deg, coeff, x, y, active, scratch)
     }
-}
-
-/// Shared dense fallback for native `propagate_frontier` impls whose
-/// gather-cost guard fired: runs the backend's dense-with-norm kernel
-/// and scans for the support, flagging `went_dense` so
-/// [`crate::FrontierPolicy::Auto`] latches.
-pub(crate) fn dense_frontier_fallback<P: Propagator + ?Sized>(
-    p: &P,
-    coeff: f64,
-    x: &[f64],
-    y: &mut [f64],
-    scratch: &mut FrontierScratch,
-) -> FrontierStep {
-    let residual = p.propagate_into_norm(coeff, x, y);
-    let next = scratch.next_active_mut();
-    next.clear();
-    for (v, &yv) in y.iter().enumerate() {
-        if yv != 0.0 {
-            next.push(v as NodeId);
-        }
-    }
-    FrontierStep { residual, edge_work: 0, went_dense: true }
 }
 
 #[cfg(test)]

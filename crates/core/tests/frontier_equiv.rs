@@ -14,20 +14,56 @@
 //!    permuted gather must stay bitwise stable under every policy.
 //! 4. Tile policies × frontier policies: strip-mining and frontier
 //!    scheduling compose without touching results.
+//!
+//! Every surface runs on three graph shapes (see [`random_graph`]):
+//! simple random graphs, multigraphs with parallel edges and
+//! self-loops, and small LFR-lite graphs with hubs.
 
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use tpa_core::{
     cpi_policy, CpiConfig, FrontierPolicy, ParallelTransition, QueryEngine, SeedSet, TilePolicy,
     Transition,
 };
-use tpa_graph::gen::erdos_renyi_gnm;
-use tpa_graph::{CsrGraph, DynamicGraph, EdgeUpdate, NodeId, ReorderStrategy};
+use tpa_graph::gen::{erdos_renyi_gnm, lfr_lite, LfrConfig};
+use tpa_graph::{CsrGraph, DynamicGraph, EdgeUpdate, GraphBuilder, NodeId, ReorderStrategy};
 
+/// A test graph whose shape `seed` picks: a simple G(n, m); a multigraph
+/// with parallel edges and self-loops; or an LFR-lite graph whose
+/// power-law degrees make hubs. The sparse push adds each source's term
+/// in ascending source order, so repeated edges, self-loops and hub
+/// in-rows are where its order could part from the dense gather's.
 fn random_graph(n: usize, seed: u64) -> CsrGraph {
     let mut rng = StdRng::seed_from_u64(seed);
-    let m = (4 * n).min(n * (n - 1) / 2);
-    erdos_renyi_gnm(n, m, &mut rng)
+    match seed % 3 {
+        0 => {
+            let m = (4 * n).min(n * (n - 1) / 2);
+            erdos_renyi_gnm(n, m, &mut rng)
+        }
+        1 => {
+            let mut edges = Vec::with_capacity(5 * n);
+            for _ in 0..4 * n {
+                let u = rng.gen_range(0..n as NodeId);
+                let v = if rng.gen_bool(0.1) { u } else { rng.gen_range(0..n as NodeId) };
+                edges.push((u, v));
+                if rng.gen_bool(0.25) {
+                    edges.push((u, v));
+                }
+            }
+            GraphBuilder::new(n).allow_parallel_edges().extend_edges(edges).build()
+        }
+        _ => {
+            let cfg = LfrConfig {
+                n,
+                m: 4 * n,
+                min_community: 4,
+                max_community: 16,
+                reciprocity: 0.5,
+                ..Default::default()
+            };
+            lfr_lite(cfg, &mut rng).graph
+        }
+    }
 }
 
 const POLICIES: [FrontierPolicy; 3] =

@@ -293,11 +293,13 @@ impl DynamicGraph {
     }
 
     /// Materializes the merged view as a fresh [`CsrGraph`]. Dangling
-    /// nodes are kept as-is (see the module docs), so the snapshot's edge
-    /// set is exactly the merged view's.
+    /// nodes are kept as-is (see the module docs) and parallel edges of a
+    /// multigraph base survive, so the snapshot's edge multiset is
+    /// exactly the merged view's.
     pub fn snapshot(&self) -> CsrGraph {
-        let mut builder =
-            GraphBuilder::with_capacity(self.n(), self.m).dangling_policy(DanglingPolicy::Keep);
+        let mut builder = GraphBuilder::with_capacity(self.n(), self.m)
+            .allow_parallel_edges()
+            .dangling_policy(DanglingPolicy::Keep);
         for u in 0..self.n() as NodeId {
             for v in self.out_neighbors(u) {
                 builder.add_edge(u, v);
@@ -534,6 +536,21 @@ mod tests {
             .extend_edges([(0, 1), (0, 2), (0, 3), (1, 3), (3, 0), (3, 2)])
             .build();
         assert_eq!(g.snapshot(), want);
+    }
+
+    #[test]
+    fn snapshot_keeps_parallel_edges_of_a_multigraph_base() {
+        let base = GraphBuilder::new(3)
+            .allow_parallel_edges()
+            .dangling_policy(DanglingPolicy::Keep)
+            .extend_edges([(0, 1), (0, 1), (1, 1), (1, 2), (2, 0)])
+            .build();
+        let mut g = DynamicGraph::new(base.clone());
+        assert_eq!(g.snapshot(), base);
+        g.apply(&[Insert(2, 1)]);
+        g.compact();
+        assert_eq!(g.base().m(), base.m() + 1);
+        assert_eq!(out(&g, 0), vec![1, 1]);
     }
 
     #[test]
